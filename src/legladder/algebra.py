@@ -1,4 +1,4 @@
-"""The ten generators as exact sparse operators on coefficient vectors.
+"""The twelve generators as exact sparse operators on coefficient vectors.
 
 Ladder actions on the unit modes (coefficients are square roots of exact
 integer products, so every nonzero element is computed to full precision):

@@ -14,9 +14,11 @@ formed, then runs the three-term recurrence upward in l:
     (2l+1) x T_l^m = sqrt((l-m+1)(l+m+1)) T_{l+1}^m
                      + sqrt((l+m)(l-m)) T_{l-1}^m.
 
-Upward is the stable direction for this normalization. Negative orders use
-T_l^{-m} = (-1)^m T_l^m. Endpoints x = +-1 are excluded everywhere; the
-differential operator realizations contain 1/sqrt(1-x^2) factors.
+Upward is the stable direction for this normalization. t_values runs it for
+one order; t_orders runs it for every order at once, one degree at a time,
+in the same arithmetic. Negative orders use T_l^{-m} = (-1)^m T_l^m.
+Endpoints x = +-1 are excluded everywhere; the differential operator
+realizations contain 1/sqrt(1-x^2) factors.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class GridFunction:
 
 
 def _check_domain(x: np.ndarray):
-    if np.any(np.abs(x) >= 1.0):
+    # Written as "not all inside" so that NaN, which compares False, fails.
+    if not np.all(np.abs(x) < 1.0):
         raise ValueError("x must lie in the open interval (-1, 1)")
 
 
@@ -103,6 +106,39 @@ def t_values(m: int, l_max: int, x) -> np.ndarray:
     if m < 0 and ma % 2 == 1:
         rows = -rows
     return rows
+
+
+def t_orders(l_max: int, x):
+    """T_l^m(x) for every order m = 0 .. l, one degree l = 0 .. l_max at a time.
+
+    Yields an array of shape (l + 1, len(x)) per degree; row m holds
+    T_l^m(x). Each step advances every order together, with the seed
+    product and three-term recurrence of t_values in the same arithmetic
+    order, so row m of degree l equals t_values(m, l_max, x)[l - m] bit for
+    bit. Only two degrees are held at once, so memory stays
+    O(l_max * len(x)). Negative orders follow from T_l^{-m} = (-1)^m T_l^m.
+    """
+    if l_max < 0:
+        raise ValueError("l_max must be non-negative")
+    arr = np.atleast_1d(_as_grid(x))
+    s = np.sqrt((1.0 - arr) * (1.0 + arr))
+    # cur holds degree l in rows 0..l, prev degree l - 1 in rows 0..l - 1;
+    # each carries one trailing zero row, the T_{l-1}^l = 0 the diagonal
+    # start of the recurrence needs.
+    prev = np.zeros((1, len(arr)))
+    cur = np.zeros((2, len(arr)))
+    cur[0] = 1.0
+    for l in range(l_max + 1):
+        yield cur[:l + 1]
+        if l == l_max:
+            return
+        m = np.arange(l + 1)
+        c_dn = np.sqrt((l + m) * (l - m))[:, None]
+        c_up = np.sqrt((l - m + 1) * (l + m + 1))[:, None]
+        nxt = np.zeros((l + 3, len(arr)))
+        nxt[:l + 1] = ((2 * l + 1) * arr * cur[:l + 1] - c_dn * prev) / c_up
+        nxt[l + 1] = cur[l] * (-s) * math.sqrt((2 * l + 1) / (2 * l + 2))
+        prev, cur = cur, nxt
 
 
 def dt_values(m: int, l_max: int, x) -> np.ndarray:

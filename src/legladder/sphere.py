@@ -8,9 +8,16 @@ coefficients are stored against the fully orthonormal functions
 
     Z_l^m = e^{i m phi} / sqrt(2 pi) * sqrt(l + 1/2) T_l^m(cos theta),
 
-with both normalization factors absorbed into the basis. The phi stage is
-a plain discrete Fourier sum on equispaced nodes, exact for integer orders
-up to the grid's aliasing limit; no FFT is used at these sizes.
+with both normalization factors absorbed into the basis.
+
+The transform runs in two stages. The phi stage is one FFT over the
+equispaced phi nodes, scaled by sqrt(2 pi) / n_phi, whose bin m mod n_phi
+holds order m; it is the discrete Fourier sum itself, so it is exact for
+integer orders up to the grid's aliasing limit. The Legendre stage runs
+the upward recurrence in l once for all orders together (alp.t_orders)
+and contracts each degree's rows with the channels as it goes, so no
+table of T values over (l, m, node) is ever held. Negative orders reuse
+the m >= 0 rows through T_l^{-m} = (-1)^m T_l^m.
 
 Primed ladder operators multiply the polar differential forms by the phase
 that matches their order shift (J', R' by e^{+-i phi}, S' by e^{-+i phi},
@@ -22,13 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .alp import QuadratureRule, ddt_values, dt_values, gauss_legendre, t_values
+from .alp import (QuadratureRule, ddt_values, dt_values, gauss_legendre, t_orders,
+                  t_values)
 from .algebra import DIAGONAL_GENERATORS, LADDER_SHIFTS, element
 from .diffops import _ab, _chain
-from .modes import ModeIndex, is_admissible
+from .modes import ModeIndex, Truncation, is_admissible, lattice
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -118,26 +127,48 @@ def apply_primed(name: str, l: int, m: int, grid: SphereGrid) -> SphereField:
     return SphereField(grid, np.outer(polar, phase) / SQRT_2PI)
 
 
+def _phi_modes(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the orthonormal modes e^{i m phi}/sqrt(2 pi) at each
+    theta node; column m mod n_phi holds order m."""
+    modes = np.fft.fft(values, axis=-1)
+    modes *= SQRT_2PI / values.shape[-1]
+    return modes
+
+
+def _phi_samples(modes: np.ndarray) -> np.ndarray:
+    """Inverse of _phi_modes: sum over columns k of modes[:, k] e^{i k phi}
+    / sqrt(2 pi) on the equispaced phi nodes."""
+    values = np.fft.ifft(modes, axis=-1)
+    values *= modes.shape[-1] / SQRT_2PI
+    return values
+
+
 def fourier_channel(field: SphereField, m: int) -> np.ndarray:
     """Coefficient of the orthonormal mode e^{i m phi}/sqrt(2 pi) at each
-    theta node, by direct discrete Fourier sum."""
-    phase = np.exp(-1j * m * field.grid.phis)
-    return field.values @ phase * (SQRT_2PI / field.grid.n_phi)
+    theta node (the discrete Fourier sum, evaluated by FFT)."""
+    return _phi_modes(field.values)[:, m % field.grid.n_phi]
 
 
 def j3_field(field: SphereField, band: int | None = None) -> SphereField:
-    """-i d/dphi on a whole field, applied channel-wise in Fourier space."""
+    """-i d/dphi on a whole field: multiply each Fourier channel |m| <= band
+    by m. Orders beyond the grid's aliasing limit share a bin and add."""
     n_phi = field.grid.n_phi
     band = (n_phi - 1) // 2 if band is None else band
-    out = np.zeros_like(field.values)
-    for m in range(-band, band + 1):
-        g = fourier_channel(field, m)
-        out += m * np.outer(g, np.exp(1j * m * field.grid.phis)) / SQRT_2PI
-    return SphereField(field.grid, out)
+    m = np.arange(-band, band + 1)
+    factor = np.zeros(n_phi)
+    np.add.at(factor, m % n_phi, m)
+    return SphereField(field.grid, _phi_samples(factor * _phi_modes(field.values)))
+
+
+@lru_cache(maxsize=4)
+def _lattice_keys(l_max: int) -> tuple:
+    """Output keys of sht_analyze in lattice() order, built once per l_max."""
+    return tuple(lattice(Truncation(l_max)))
 
 
 def sht_analyze(field: SphereField, l_max: int) -> dict:
-    """Coefficients against the orthonormal Z_l^m, keyed by ModeIndex.
+    """Coefficients against the orthonormal Z_l^m, keyed by ModeIndex in
+    lattice() order.
 
     Needs n_theta >= l_max + 1 and n_phi >= 2 l_max + 1 for the quadrature
     and Fourier stages to be exact on band-limited data.
@@ -148,36 +179,56 @@ def sht_analyze(field: SphereField, l_max: int) -> dict:
     if n_phi < 2 * l_max + 1:
         raise ValueError(f"need at least {2 * l_max + 1} phi nodes for l_max={l_max}")
     x = np.asarray(field.grid.theta_rule.nodes)
-    w = np.asarray(field.grid.theta_rule.weights)
-    coeffs = {}
-    for m in range(-l_max, l_max + 1):
-        g = fourier_channel(field, m)
-        t = t_values(m, l_max, x)
-        scale = np.sqrt(np.arange(abs(m), l_max + 1) + 0.5)
-        proj = (scale[:, None] * t) @ (w * g)
-        for i, l in enumerate(range(abs(m), l_max + 1)):
-            coeffs[ModeIndex(l, m)] = complex(proj[i])
-    return coeffs
+    modes = _phi_modes(field.values)
+    modes *= np.asarray(field.grid.theta_rule.weights)[:, None]
+    m = np.arange(l_max + 1)
+    pos = modes[:, m].T
+    neg = modes[:, -m % n_phi].T * np.where(m % 2, -1.0, 1.0)[:, None]
+    # Real and imaginary parts of channels m and -m (with the sign of
+    # T_l^{-m} folded in), shape (m, 4, node): each degree's projection is
+    # then one real batched product.
+    g = np.stack([pos.real, pos.imag, neg.real, neg.imag], axis=1)
+    coeffs = np.empty((l_max + 1) ** 2, dtype=complex)
+    for l, t in enumerate(t_orders(l_max, x)):
+        p = np.matmul(g[:l + 1], t[:, :, None])[:, :, 0] * math.sqrt(l + 0.5)
+        centre = l * (l + 1)            # lattice() position of (l, 0)
+        coeffs[centre - l:centre + 1] = p[::-1, 2] + 1j * p[::-1, 3]
+        coeffs[centre:centre + l + 1] = p[:, 0] + 1j * p[:, 1]
+    return dict(zip(_lattice_keys(l_max), coeffs.tolist()))
 
 
 def sht_synthesize(coeffs: dict, grid: SphereGrid) -> SphereField:
     """Evaluate sum c_lm Z_l^m on the grid; inverse of sht_analyze on
-    band-limited data."""
+    band-limited data. Keys are ModeIndex or (l, m) tuples."""
     x = np.asarray(grid.theta_rule.nodes)
-    values = np.zeros(grid.shape, dtype=complex)
-    by_m: dict = {}
-    for mode, c in coeffs.items():
+    if not coeffs:
+        return SphereField(grid, np.zeros(grid.shape, dtype=complex))
+    ls, ms = [], []
+    for mode in coeffs:
         if not isinstance(mode, ModeIndex):
             mode = ModeIndex(*mode)
-        by_m.setdefault(mode.m, []).append((mode.l, c))
-    for m, items in by_m.items():
-        l_top = max(l for l, _ in items)
-        t = t_values(m, l_top, x)
-        polar = np.zeros(len(x), dtype=complex)
-        for l, c in items:
-            polar += c * math.sqrt(l + 0.5) * t[l - abs(m)]
-        values += np.outer(polar, np.exp(1j * m * grid.phis)) / SQRT_2PI
-    return SphereField(grid, values)
+        ls.append(mode.l)
+        ms.append(mode.m)
+    ls, ms = np.array(ls), np.array(ms)
+    c = np.fromiter(coeffs.values(), complex, len(coeffs))
+    c *= np.sqrt(ls + 0.5) * np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
+    # Real and imaginary parts of the m >= 0 and m < 0 coefficients, shape
+    # (l, |m|, 4), matching sht_analyze's channel layout.
+    l_top = int(ls.max())
+    a = np.zeros((l_top + 1, l_top + 1, 4))
+    part = np.where(ms < 0, 2, 0)
+    np.add.at(a, (ls, np.abs(ms), part), c.real)
+    np.add.at(a, (ls, np.abs(ms), part + 1), c.imag)
+    polar = np.zeros((l_top + 1, 4, len(x)))
+    for l, t in enumerate(t_orders(l_top, x)):
+        polar[:l + 1] += a[l, :l + 1, :, None] * t[:, None, :]
+    # Order m lands in Fourier bin m mod n_phi; on a grid too coarse for
+    # l_top, aliased orders share a bin and add, as the direct sum does.
+    m = np.arange(l_top + 1)
+    modes = np.zeros(grid.shape, dtype=complex)
+    np.add.at(modes.T, m % grid.n_phi, polar[:, 0] + 1j * polar[:, 1])
+    np.add.at(modes.T, -m % grid.n_phi, polar[:, 2] + 1j * polar[:, 3])
+    return SphereField(grid, _phi_samples(modes))
 
 
 def casimir_sphere_residual(l: int, m: int, grid: SphereGrid) -> float:
@@ -255,5 +306,7 @@ def field_from_json(data: dict) -> SphereField:
     raw = np.asarray(data["values"], dtype=float)
     if raw.shape != (len(thetas) * n_phi, 2):
         raise ValueError("values must hold one [re, im] pair per grid point")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("field values must be finite")
     vals = (raw[:, 0] + 1j * raw[:, 1]).reshape(len(thetas), n_phi)
     return SphereField(SphereGrid(rule, n_phi), vals)

@@ -202,10 +202,13 @@ def grid_to_json(f: GridFunction) -> dict:
 def grid_from_json(data: dict) -> GridFunction:
     nodes = np.asarray(data["nodes"], dtype=float)
     weights = np.asarray(data["weights"], dtype=float)
-    if np.any(np.abs(nodes) >= 1.0):
+    values = np.asarray(data["values"], dtype=float)
+    if not np.all(np.abs(nodes) < 1.0):
         raise ValueError("grid nodes must lie inside (-1, 1)")
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(values))):
+        raise ValueError("grid weights and values must be finite")
     rule = QuadratureRule(nodes=nodes, weights=weights)
-    return GridFunction(rule, int(data["m"]), np.asarray(data["values"], dtype=float))
+    return GridFunction(rule, int(data["m"]), values)
 
 
 def spectrum_to_json(s: ChannelSpectrum) -> dict:

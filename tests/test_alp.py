@@ -3,7 +3,8 @@ import pytest
 import sympy as sp
 
 from legladder.alp import (eval_T, eval_T_derivative, eval_T_second,
-                           gauss_legendre, phase_relation_check, sample_T)
+                           gauss_legendre, phase_relation_check, sample_T,
+                           t_orders, t_values)
 from legladder.diffops import legendre_ode_residual
 
 
@@ -96,6 +97,31 @@ def test_domain_errors():
         eval_T(1, 0, -1.5)
     with pytest.raises(ValueError):
         eval_T_derivative(0, 0, 1.0)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_x_rejected(x):
+    with pytest.raises(ValueError):
+        eval_T(1, 0, x)
+    with pytest.raises(ValueError):
+        eval_T(2, 1, np.array([0.1, x, -0.3]))
+
+
+@pytest.mark.parametrize("l_max", [12, 64, 128])
+def test_t_orders_rows_equal_t_values_bitwise(l_max):
+    x = np.concatenate([gauss_legendre(l_max + 1).nodes, [-0.999, 0.0, 0.5, 0.9999]])
+    rows = list(t_orders(l_max, x))
+    assert [r.shape for r in rows] == [(l + 1, len(x)) for l in range(l_max + 1)]
+    for m in range(l_max + 1):
+        batched = np.array([rows[l][m] for l in range(m, l_max + 1)])
+        assert np.array_equal(batched, t_values(m, l_max, x))
+
+
+def test_t_orders_domain():
+    with pytest.raises(ValueError):
+        next(t_orders(3, np.array([0.2, float("nan")])))
+    with pytest.raises(ValueError):
+        next(t_orders(-1, 0.2))
 
 
 def test_array_evaluation_matches_scalar():

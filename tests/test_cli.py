@@ -37,6 +37,14 @@ def test_eval_inadmissible_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_eval_non_finite_x_exits_2(capsys, x):
+    code, out, err = run(capsys, "eval", "--l", "1", "--m", "0", f"--x={x}")
+    assert code == 2
+    assert out == ""
+    assert "open interval" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run(capsys, "eval", "--l", "1", "--m", "1", "--x", "0", "--bogus")
     assert code == 2
@@ -156,6 +164,33 @@ def test_sht_roundtrip_via_files(tmp_path, capsys):
     got = np.asarray(f2["values"])
     want = np.asarray(field_to_json(field)["values"])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_sht_analyze_rejects_non_finite_field(tmp_path, capsys, bad):
+    data = field_to_json(sample_Y(2, -1, standard_grid(10, 19)))
+    data["values"][7][1] = bad
+    (tmp_path / "f.json").write_text(json.dumps(data))
+    code, _, err = run(capsys, "sht", "analyze", "--lmax", "8",
+                       "--in", str(tmp_path / "f.json"),
+                       "--out", str(tmp_path / "c.json"))
+    assert code == 2
+    assert "finite" in err
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("key,bad", [("values", float("nan")), ("values", float("-inf")),
+                                     ("weights", float("inf")), ("nodes", float("nan"))])
+def test_transform_analyze_rejects_non_finite_grid(tmp_path, capsys, key, bad):
+    data = grid_to_json(sample_T(2, 1, gauss_legendre(12)))
+    data[key][3] = bad
+    (tmp_path / "g.json").write_text(json.dumps(data))
+    code, _, err = run(capsys, "transform", "analyze", "--lmax", "6",
+                       "--in", str(tmp_path / "g.json"),
+                       "--out", str(tmp_path / "s.json"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_verify_single_suite(capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legladder.algebra import GENERATORS
-from legladder.modes import ModeIndex
+from legladder.alp import t_values
+from legladder.modes import ModeIndex, Truncation, lattice
 from legladder.sphere import (SphereField, SphereGrid, apply_primed,
                               casimir_sphere_residual, eval_Y, field_from_json,
                               field_to_json, fourier_channel, j3_field,
@@ -143,6 +146,8 @@ def test_sht_undersampled_grids_rejected():
     small_phi = standard_grid(10, 9)
     with pytest.raises(ValueError):
         sht_analyze(SphereField(small_phi, np.zeros(small_phi.shape)), 8)
+    with pytest.raises(ValueError):
+        sht_analyze(SphereField(GRID, np.zeros(GRID.shape)), -1)
 
 
 def test_hermiticity_of_real_fields():
@@ -204,3 +209,112 @@ def test_sphere_grid_validation():
         SphereGrid(GRID.theta_rule, 0)
     with pytest.raises(ValueError):
         SphereField(GRID, np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------- references
+# Direct sums, one channel at a time: per-channel t_values for the Legendre
+# stage and an explicit discrete Fourier sum for the phi stage.
+
+def reference_synthesize(coeffs, grid):
+    x = np.asarray(grid.theta_rule.nodes)
+    out = np.zeros(grid.shape, dtype=complex)
+    for key, c in coeffs.items():
+        l, m = (key.l, key.m) if isinstance(key, ModeIndex) else key
+        polar = c * math.sqrt(l + 0.5) * t_values(m, l, x)[-1]
+        out += np.outer(polar, np.exp(1j * m * grid.phis)) / SQRT_2PI
+    return out
+
+
+def reference_analyze(field, l_max):
+    grid = field.grid
+    x = np.asarray(grid.theta_rule.nodes)
+    w = np.asarray(grid.theta_rule.weights)
+    out = {}
+    for mode in lattice(Truncation(l_max)):
+        phase = np.exp(-1j * mode.m * grid.phis)
+        g = field.values @ phase * (SQRT_2PI / grid.n_phi)
+        t = t_values(mode.m, mode.l, x)[-1]
+        out[mode] = math.sqrt(mode.l + 0.5) * np.sum(w * t * g)
+    return out
+
+
+def random_coeffs(rng, l_max, keep=lambda l, m: True):
+    return {ModeIndex(l, m): complex(*rng.standard_normal(2))
+            for l in range(l_max + 1) for m in range(-l, l + 1) if keep(l, m)}
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(9, 17), (9, 18), (11, 23), (12, 24)])
+def test_sht_matches_direct_sums(n_theta, n_phi):
+    rng = np.random.default_rng(n_phi)
+    grid = standard_grid(n_theta, n_phi)
+    coeffs = random_coeffs(rng, 8)
+    field = sht_synthesize(coeffs, grid)
+    assert np.max(np.abs(field.values - reference_synthesize(coeffs, grid))) < 1e-12
+    noisy = SphereField(grid, field.values + rng.standard_normal(grid.shape))
+    got = sht_analyze(noisy, 8)
+    want = reference_analyze(noisy, 8)
+    assert got.keys() == want.keys()
+    assert max(abs(got[k] - want[k]) for k in want) < 1e-12
+
+
+def test_sht_analyze_keys_in_lattice_order():
+    coeffs = sht_analyze(sample_Y(2, 1, GRID), 8)
+    assert list(coeffs) == lattice(Truncation(8))
+    assert all(isinstance(v, complex) for v in coeffs.values())
+
+
+def test_sht_synthesize_tuple_keys():
+    rng = np.random.default_rng(3)
+    coeffs = {(k.l, k.m): c for k, c in random_coeffs(rng, 6).items()}
+    got = sht_synthesize(coeffs, GRID).values
+    assert np.max(np.abs(got - reference_synthesize(coeffs, GRID))) < 1e-12
+    with pytest.raises(ValueError):
+        sht_synthesize({(1, 2): 1.0}, GRID)
+
+
+def test_sht_synthesize_sparse_orders():
+    rng = np.random.default_rng(4)
+    coeffs = random_coeffs(rng, 8, keep=lambda l, m: m in (-5, 0, 3, 7))
+    got = sht_synthesize(coeffs, GRID).values
+    assert np.max(np.abs(got - reference_synthesize(coeffs, GRID))) < 1e-12
+
+
+def test_sht_synthesize_aliasing_grid():
+    # n_phi = 7 < 2 l_top + 1 = 17: orders m and m +- 7 share a Fourier bin
+    # and must add, exactly as the direct sum does on the grid.
+    rng = np.random.default_rng(6)
+    grid = standard_grid(10, 7)
+    coeffs = random_coeffs(rng, 8)
+    got = sht_synthesize(coeffs, grid).values
+    assert np.max(np.abs(got - reference_synthesize(coeffs, grid))) < 1e-12
+
+
+def test_sht_synthesize_empty_matches_reference():
+    assert np.array_equal(sht_synthesize({}, GRID).values, reference_synthesize({}, GRID))
+
+
+def test_fourier_channel_aliases_by_grid_size():
+    f = sample_Y(4, 3, GRID)
+    for m in (-3, 0, 3):
+        assert np.array_equal(fourier_channel(f, m), fourier_channel(f, m + GRID.n_phi))
+
+
+def test_j3_field_band_matches_direct_sum():
+    rng = np.random.default_rng(8)
+    field = SphereField(GRID, rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape))
+    for band in (0, 4, 9, 12):
+        want = np.zeros(GRID.shape, dtype=complex)
+        for m in range(-band, band + 1):
+            g = field.values @ np.exp(-1j * m * GRID.phis) * (SQRT_2PI / GRID.n_phi)
+            want += m * np.outer(g, np.exp(1j * m * GRID.phis)) / SQRT_2PI
+        assert np.max(np.abs(j3_field(field, band).values - want)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(l_max=st.integers(0, 24), extra_theta=st.integers(0, 3),
+       extra_phi=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_sht_roundtrip_property(l_max, extra_theta, extra_phi, seed):
+    grid = standard_grid(l_max + 1 + extra_theta, 2 * l_max + 1 + extra_phi)
+    coeffs = random_coeffs(np.random.default_rng(seed), l_max)
+    back = sht_analyze(sht_synthesize(coeffs, grid), l_max)
+    assert max(abs(back[k] - c) for k, c in coeffs.items()) < 1e-10
